@@ -250,10 +250,9 @@ func cmdBench(args []string) error {
 	wireOnly := fs.Bool("wire-only", false, "with -addr: skip the in-process engine sweep")
 	minSpeedup := fs.Float64("min-batch-speedup", 0, "exit nonzero when a wire-mode batched run's events/sec falls below this multiple of its batch-1 baseline (CI gate; needs -addr and batch sizes 1 and >1)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "wire-mode deadline")
-	lstmMode := fs.Bool("lstm", false, "run the LSTM micro-batch sweep (weight precision x engine ScoreBatch) instead of the ingest sweep; -json emits the BENCH_lstm.json format")
+	lstmMode := fs.Bool("lstm", false, "run the LSTM micro-batch sweep over engine ScoreBatch instead of the ingest sweep; -json emits the BENCH_lstm.json format")
 	lstmBatch := fs.String("lstm-batch", "1,64", "comma-separated engine ScoreBatch values for -lstm (1 is the serial reference)")
-	quant := fs.String("quant", "f64,int8,f16", "comma-separated weight precisions for -lstm: f64, int8, f16")
-	minLSTMSpeedup := fs.Float64("min-lstm-speedup", 0, "with -lstm: exit nonzero when the f64 batch speedup falls below this multiple (CI gate; needs quant f64 and ScoreBatch 1 plus a larger value)")
+	minLSTMSpeedup := fs.Float64("min-lstm-speedup", 0, "with -lstm: exit nonzero when the batch speedup falls below this multiple (CI gate; needs ScoreBatch 1 plus a larger value)")
 	soakMode := fs.Bool("soak", false, "run the memory soak (fill N sessions, compact, touch, flush) instead of the ingest sweep; -json emits the BENCH_soak.json format")
 	soakSessions := fs.Int("soak-sessions", 50000, "with -soak: distinct sessions held resident (the local acceptance run uses 1000000)")
 	soakActions := fs.Int("soak-actions", 8, "with -soak: actions submitted per session")
@@ -312,7 +311,6 @@ func cmdBench(args []string) error {
 		}
 		report, err := harness.BenchLSTM(tr, harness.LSTMBenchOptions{
 			ScoreBatches: scoreBatches,
-			Quants:       splitBackends(*quant),
 			Events:       *events,
 			Shards:       shardCounts[0],
 			QueueDepth:   *queue,
@@ -333,21 +331,11 @@ func cmdBench(args []string) error {
 			renderLSTMBenchReport(report)
 		}
 		if *minLSTMSpeedup > 0 {
-			gated := 0
-			for _, key := range sortedKeys(report.BatchSpeedup) {
-				// Gate the f64 ratio only: it isolates the micro-batching
-				// claim. Quantized ratios stay informational because their
-				// serial baselines are already cheaper.
-				if !strings.HasPrefix(key, "f64/") {
-					continue
-				}
-				gated++
-				if ratio := report.BatchSpeedup[key]; ratio < *minLSTMSpeedup {
-					return fmt.Errorf("bench: lstm %s events/sec speedup %.2fx below the -min-lstm-speedup floor %.2fx", key, ratio, *minLSTMSpeedup)
-				}
+			if report.BatchSpeedup == 0 {
+				return fmt.Errorf("bench: -min-lstm-speedup needs -lstm-batch with 1 and a larger value in the same run")
 			}
-			if gated == 0 {
-				return fmt.Errorf("bench: -min-lstm-speedup needs quant f64 and -lstm-batch with 1 and a larger value in the same run")
+			if report.BatchSpeedup < *minLSTMSpeedup {
+				return fmt.Errorf("bench: lstm events/sec batch speedup %.2fx below the -min-lstm-speedup floor %.2fx", report.BatchSpeedup, *minLSTMSpeedup)
 			}
 		}
 		return nil
@@ -536,29 +524,17 @@ func sortedIntKeys(m map[string]int) []string {
 	return keys
 }
 
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 func renderLSTMBenchReport(r *harness.LSTMBenchReport) {
 	fmt.Printf("lstm micro-batch bench: hidden %d, %d interleaved sessions, %s %s/%s, %d cpus\n",
 		r.Hidden, r.Concurrency, r.GoVersion, r.GOOS, r.GOARCH, r.NumCPU)
-	fmt.Printf("%-6s %11s %6s %8s %12s %9s %6s\n",
-		"quant", "score_batch", "shards", "events", "events/sec", "wall (s)", "alarms")
+	fmt.Printf("%11s %6s %8s %12s %9s %6s\n",
+		"score_batch", "shards", "events", "events/sec", "wall (s)", "alarms")
 	for _, res := range r.Results {
-		fmt.Printf("%-6s %11d %6d %8d %12.0f %9.2f %6d\n",
-			res.Quant, res.ScoreBatch, res.Shards, res.Events, res.EventsPerSec, res.WallSeconds, res.Alarms)
+		fmt.Printf("%11d %6d %8d %12.0f %9.2f %6d\n",
+			res.ScoreBatch, res.Shards, res.Events, res.EventsPerSec, res.WallSeconds, res.Alarms)
 	}
-	for _, key := range sortedKeys(r.BatchSpeedup) {
-		fmt.Printf("lstm batch speedup %s: %.2fx\n", key, r.BatchSpeedup[key])
-	}
-	for _, key := range sortedKeys(r.QuantThroughput) {
-		fmt.Printf("quant throughput %s vs f64: %.2fx\n", key, r.QuantThroughput[key])
+	if r.BatchSpeedup > 0 {
+		fmt.Printf("lstm batch speedup (largest ScoreBatch vs 1): %.2fx\n", r.BatchSpeedup)
 	}
 }
 

@@ -132,6 +132,7 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 	}
 
 	// Stream fresh traffic, end the sessions, and adapt for real.
+	sent := 0
 	for i, s := range sessions {
 		c := s.Clone()
 		c.ID = fmt.Sprintf("live-%03d", i)
@@ -139,12 +140,17 @@ func TestServerDriftAndAdaptCommands(t *testing.T) {
 			if err := enc.Encode(&ev); err != nil {
 				t.Fatal(err)
 			}
+			sent++
 		}
 	}
+	// The server reads the connection asynchronously, so wait until it
+	// has submitted every sent event, not just some, before flushing:
+	// sessions whose events arrive after the Flush are never ended and
+	// never reach the adapter's buffer.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st := srv.Stats()
-		if st.EventsInFlight == 0 && st.EventsSubmitted > 0 {
+		if st.EventsInFlight == 0 && st.EventsSubmitted >= uint64(sent) {
 			break
 		}
 		if time.Now().After(deadline) {

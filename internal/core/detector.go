@@ -147,35 +147,6 @@ func (cm *ClusterModel) train(cfg *Config, vocab *actionlog.Vocabulary, encoded 
 	return nil
 }
 
-// Quantize returns an inference-only copy of the detector with every
-// cluster's LSTM language model re-stored at the given weight precision
-// (nn.QuantF16 or nn.QuantInt8); routers, featurizer, and vocabulary are
-// shared with the receiver, which keeps serving at full precision. Only
-// the LSTM backend has quantized kernels, so quantizing a classical
-// backend is an error.
-func (d *Detector) Quantize(mode nn.Quantization) (*Detector, error) {
-	if mode == nn.QuantNone {
-		return d, nil
-	}
-	out := &Detector{
-		cfg:        d.cfg,
-		vocab:      d.vocab,
-		featurizer: d.featurizer,
-		clusters:   make([]ClusterModel, len(d.clusters)),
-	}
-	for i, cm := range d.clusters {
-		if cm.LM == nil {
-			return nil, fmt.Errorf("core: quantize: cluster %d runs the %s backend, which has no quantized form", i, d.cfg.backend())
-		}
-		qm, err := cm.LM.Quantize(mode)
-		if err != nil {
-			return nil, fmt.Errorf("core: quantize cluster %d: %w", i, err)
-		}
-		out.clusters[i] = ClusterModel{Router: cm.Router, Model: qm, LM: qm, TrainSize: cm.TrainSize}
-	}
-	return out, nil
-}
-
 // Config returns the detector's configuration.
 func (d *Detector) Config() Config { return d.cfg }
 

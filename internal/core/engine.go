@@ -700,18 +700,27 @@ func (e *Engine) MemBytes() int64 {
 	return total
 }
 
-// admissionBlocked reports whether a NEW session must be refused right
-// now: the engine is at its session cap or over its memory budget.
-// Existing sessions keep scoring — the shed policy refuses new work
-// first and only then (via the sweep) evicts oldest-idle sessions.
-func (e *Engine) admissionBlocked() bool {
-	if e.cfg.MaxSessions > 0 && e.sessions.Load() >= int64(e.cfg.MaxSessions) {
-		return true
-	}
+// reserveSession admits a NEW session by claiming its slot in the
+// session count, or reports false when it must be refused right now: the
+// engine is at its session cap or over its memory budget. The slot is
+// claimed by compare-and-swap, so shards admitting concurrently cannot
+// all pass the cap check and overshoot MaxSessions; a caller that then
+// fails to build the session gives the slot back. Existing sessions keep
+// scoring — the shed policy refuses new work first and only then (via
+// the sweep) evicts oldest-idle sessions.
+func (e *Engine) reserveSession() bool {
 	if e.cfg.MemBudget > 0 && e.MemBytes() >= e.cfg.MemBudget {
-		return true
+		return false
 	}
-	return false
+	for {
+		n := e.sessions.Load()
+		if e.cfg.MaxSessions > 0 && n >= int64(e.cfg.MaxSessions) {
+			return false
+		}
+		if e.sessions.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // shardIndex hashes a session ID onto its owning shard: inline FNV-1a so
@@ -1245,7 +1254,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 	}
 	grew := false
 	if !ok {
-		if s.e.admissionBlocked() {
+		if !s.e.reserveSession() {
 			// Load shedding, stage one: at the session cap or over the
 			// memory budget, events of sessions the engine does not
 			// already know are refused — dropped and counted, never
@@ -1274,6 +1283,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		if err != nil {
 			// Config was validated at NewEngine; failing here means the
 			// detector itself is unusable.
+			s.e.sessions.Add(-1)
 			s.e.scoreErrors.Add(1)
 			s.e.logf("session %s: %v", ev.sessionID, err)
 			return
@@ -1289,7 +1299,6 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 		}
 		s.sessions[ev.sessionID] = sess
 		s.live.pushTail(sess)
-		s.e.sessions.Add(1)
 		grew = true
 		if canary {
 			s.e.canaryStarted.Add(1)

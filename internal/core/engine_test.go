@@ -12,7 +12,6 @@ import (
 	"misusedetect/internal/baseline"
 	"misusedetect/internal/corpus"
 	"misusedetect/internal/logsim"
-	"misusedetect/internal/nn"
 )
 
 // corpusDetector trains one small 13-cluster detector on the embedded
@@ -140,31 +139,6 @@ func TestEngineDeterminismMatchesSerial(t *testing.T) {
 // the byte-identical alarm stream.
 func TestEngineDeterminismNGramBackend(t *testing.T) {
 	engineDeterminismMatrix(t, trainCorpusNGram(t, 11))
-}
-
-// TestEngineDeterminismInt8Quantized runs the full determinism matrix
-// on the int8-quantized LSTM detector: the quantized kernels compute
-// each output in one scalar accumulation exactly like the serial path,
-// so even at reduced precision the sharded micro-batched engine must
-// reproduce the quantized serial monitor byte for byte.
-func TestEngineDeterminismInt8Quantized(t *testing.T) {
-	qdet, err := corpusDetector(t).Quantize(nn.QuantInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engineDeterminismMatrix(t, qdet)
-}
-
-// TestDetectorQuantizeRejectsClassicalBackend pins the error contract:
-// only the LSTM backend has quantized kernels.
-func TestDetectorQuantizeRejectsClassicalBackend(t *testing.T) {
-	det := trainCorpusNGram(t, 11)
-	if _, err := det.Quantize(nn.QuantInt8); err == nil {
-		t.Fatal("quantizing an ngram detector must fail")
-	}
-	if q, err := det.Quantize(nn.QuantNone); err != nil || q != det {
-		t.Fatalf("QuantNone must return the receiver unchanged, got (%v, %v)", q, err)
-	}
 }
 
 // TestEngineAlarmsFlagAnomalies sanity-checks the labels: corpus anomalies

@@ -9,23 +9,18 @@ import (
 	"misusedetect/internal/actionlog"
 	"misusedetect/internal/core"
 	"misusedetect/internal/lm"
-	"misusedetect/internal/nn"
 )
 
 // LSTMBenchOptions tunes the LSTM micro-batch bench: one lstm detector
 // is trained, then the same interleaved many-session stream is replayed
-// through the engine once per (quantization, ScoreBatch) pair, so the
-// measured ratios isolate the fused batched inference path from every
-// other variable.
+// through the engine once per ScoreBatch setting, so the measured ratio
+// isolates the fused batched inference path from every other variable.
 type LSTMBenchOptions struct {
 	// ScoreBatches lists the engine ScoreBatch settings to sweep; nil
 	// defaults to {1, 64}. 1 is the serial reference (each stream
 	// advances alone), so the events/sec ratio of the largest setting
 	// over it is the realized micro-batching win.
 	ScoreBatches []int
-	// Quants lists the weight precisions to sweep (nn.ParseQuantization
-	// names); nil defaults to {"f64", "int8", "f16"}.
-	Quants []string
 	// Events is the stream volume per run; 0 defaults to 30000.
 	Events int
 	// Concurrency is the number of sessions interleaved round-robin in
@@ -49,7 +44,7 @@ type LSTMBenchOptions struct {
 	// defaults to 256, the paper's LSTM width: at that size the
 	// recurrent weights (2MB in f64) no longer fit low cache levels, so
 	// the bench exercises the memory-bandwidth regime micro-batching
-	// and quantization exist for. Small hidden sizes understate both.
+	// exists for. Small hidden sizes understate it.
 	Hidden, Epochs int
 	Seed           int64
 }
@@ -57,9 +52,6 @@ type LSTMBenchOptions struct {
 func (o *LSTMBenchOptions) setDefaults() {
 	if o.ScoreBatches == nil {
 		o.ScoreBatches = []int{1, 64}
-	}
-	if o.Quants == nil {
-		o.Quants = []string{"f64", "int8", "f16"}
 	}
 	if o.Events == 0 {
 		o.Events = 30000
@@ -84,9 +76,8 @@ func (o *LSTMBenchOptions) setDefaults() {
 	}
 }
 
-// LSTMBenchResult is one measured (quantization, ScoreBatch) run.
+// LSTMBenchResult is one measured ScoreBatch run.
 type LSTMBenchResult struct {
-	Quant        string  `json:"quant"`
 	ScoreBatch   int     `json:"score_batch"`
 	Shards       int     `json:"shards"`
 	Events       int     `json:"events"`
@@ -108,13 +99,11 @@ type LSTMBenchReport struct {
 	// the stream — the batching headroom the engine had to work with.
 	Concurrency int               `json:"concurrency"`
 	Results     []LSTMBenchResult `json:"results"`
-	// BatchSpeedup maps each quantization to the events/sec ratio of its
-	// largest ScoreBatch run over its ScoreBatch-1 run: the realized
-	// cross-session micro-batching win. CI gates the f64 entry.
-	BatchSpeedup map[string]float64 `json:"lstm_batch_speedup"`
-	// QuantThroughput maps each non-f64 quantization to its events/sec
-	// relative to f64 at the same (largest) ScoreBatch.
-	QuantThroughput map[string]float64 `json:"quant_throughput_vs_f64"`
+	// BatchSpeedup is the events/sec ratio of the largest ScoreBatch run
+	// over the ScoreBatch-1 run: the realized cross-session
+	// micro-batching win, which CI gates. 0 when the sweep lacks
+	// ScoreBatch 1 or a larger setting.
+	BatchSpeedup float64 `json:"lstm_batch_speedup"`
 }
 
 // lstmBenchStream replicates the traffic's evaluation sessions until at
@@ -171,10 +160,9 @@ func lstmBenchStream(tr *Traffic, events, concurrency int) ([]actionlog.Event, i
 }
 
 // BenchLSTM measures the cross-session micro-batched LSTM serving path:
-// it trains one lstm detector, derives its quantized variants, and
-// replays the same interleaved stream once per (quantization,
-// ScoreBatch) pair through a fresh engine, reporting throughput plus the
-// batch-speedup and quantized-throughput ratios.
+// it trains one lstm detector and replays the same interleaved stream
+// once per ScoreBatch setting through a fresh engine, reporting
+// throughput plus the batch speedup.
 func BenchLSTM(tr *Traffic, opt LSTMBenchOptions) (*LSTMBenchReport, error) {
 	opt.setDefaults()
 	det, err := trainDetector(tr, EvalOptions{Hidden: opt.Hidden, Epochs: opt.Epochs, Seed: opt.Seed}, lm.BackendLSTM)
@@ -186,55 +174,31 @@ func BenchLSTM(tr *Traffic, opt LSTMBenchOptions) (*LSTMBenchReport, error) {
 		return nil, err
 	}
 	report := &LSTMBenchReport{
-		GoVersion:       runtime.Version(),
-		GOOS:            runtime.GOOS,
-		GOARCH:          runtime.GOARCH,
-		NumCPU:          runtime.NumCPU(),
-		Hidden:          opt.Hidden,
-		Concurrency:     sessions,
-		BatchSpeedup:    map[string]float64{},
-		QuantThroughput: map[string]float64{},
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		NumCPU:      runtime.NumCPU(),
+		Hidden:      opt.Hidden,
+		Concurrency: sessions,
 	}
-	// eps[quant][scoreBatch] collects throughputs for the ratio maps.
-	eps := map[string]map[int]float64{}
-	for _, quant := range opt.Quants {
-		mode, err := nn.ParseQuantization(quant)
+	var base, best float64
+	maxBatch := 1
+	for _, scoreBatch := range opt.ScoreBatches {
+		res, err := benchLSTMRun(det, opt, stream, scoreBatch)
 		if err != nil {
-			return nil, fmt.Errorf("harness: lstm bench: %w", err)
+			return nil, fmt.Errorf("harness: lstm bench batch %d: %w", scoreBatch, err)
 		}
-		qdet, err := det.Quantize(mode)
-		if err != nil {
-			return nil, fmt.Errorf("harness: lstm bench quantize %s: %w", quant, err)
-		}
-		eps[mode.String()] = map[int]float64{}
-		for _, scoreBatch := range opt.ScoreBatches {
-			res, err := benchLSTMRun(qdet, opt, stream, scoreBatch)
-			if err != nil {
-				return nil, fmt.Errorf("harness: lstm bench %s batch %d: %w", quant, scoreBatch, err)
-			}
-			res.Quant = mode.String()
-			res.Sessions = sessions
-			report.Results = append(report.Results, res)
-			eps[mode.String()][scoreBatch] = res.EventsPerSec
+		res.Sessions = sessions
+		report.Results = append(report.Results, res)
+		switch {
+		case scoreBatch == 1:
+			base = res.EventsPerSec
+		case scoreBatch > maxBatch:
+			maxBatch, best = scoreBatch, res.EventsPerSec
 		}
 	}
-	maxBatch := opt.ScoreBatches[0]
-	for _, b := range opt.ScoreBatches {
-		if b > maxBatch {
-			maxBatch = b
-		}
-	}
-	for quant, byBatch := range eps {
-		if base, ok := byBatch[1]; ok && base > 0 && maxBatch > 1 {
-			if best, ok := byBatch[maxBatch]; ok {
-				report.BatchSpeedup[fmt.Sprintf("%s/batch=%d", quant, maxBatch)] = best / base
-			}
-		}
-		if f64, ok := eps["f64"][maxBatch]; quant != "f64" && ok && f64 > 0 {
-			if q, ok := byBatch[maxBatch]; ok {
-				report.QuantThroughput[quant] = q / f64
-			}
-		}
+	if base > 0 {
+		report.BatchSpeedup = best / base
 	}
 	return report, nil
 }

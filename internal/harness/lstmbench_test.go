@@ -1,15 +1,13 @@
 package harness
 
 import (
-	"math"
 	"testing"
 
 	"misusedetect/internal/lm"
-	"misusedetect/internal/nn"
 )
 
 // TestBenchLSTM smoke-tests the micro-batch bench: one result per
-// (quant, ScoreBatch) cell, sane throughput, and populated ratio maps.
+// ScoreBatch, sane throughput, and a populated batch speedup.
 func TestBenchLSTM(t *testing.T) {
 	tr, err := CorpusTraffic(2)
 	if err != nil {
@@ -17,7 +15,6 @@ func TestBenchLSTM(t *testing.T) {
 	}
 	report, err := BenchLSTM(tr, LSTMBenchOptions{
 		ScoreBatches: []int{1, 16},
-		Quants:       []string{"f64", "int8"},
 		Events:       2000,
 		Concurrency:  64,
 		Hidden:       8,
@@ -27,34 +24,25 @@ func TestBenchLSTM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Results) != 4 {
-		t.Fatalf("results = %d, want 4 (2 quants x 2 batch sizes)", len(report.Results))
+	if len(report.Results) != 2 {
+		t.Fatalf("results = %d, want 2 (one per ScoreBatch)", len(report.Results))
 	}
 	for _, res := range report.Results {
 		if res.EventsPerSec <= 0 || res.Events != 2000 {
-			t.Errorf("%s/batch=%d: events/sec %.1f events %d", res.Quant, res.ScoreBatch, res.EventsPerSec, res.Events)
+			t.Errorf("batch=%d: events/sec %.1f events %d", res.ScoreBatch, res.EventsPerSec, res.Events)
 		}
 		if res.Sessions < 64 {
-			t.Errorf("%s/batch=%d: %d sessions interleaved, want >= 64", res.Quant, res.ScoreBatch, res.Sessions)
+			t.Errorf("batch=%d: %d sessions interleaved, want >= 64", res.ScoreBatch, res.Sessions)
 		}
 	}
-	for _, key := range []string{"f64/batch=16", "int8/batch=16"} {
-		if report.BatchSpeedup[key] <= 0 {
-			t.Errorf("BatchSpeedup[%q] = %.3f, want > 0", key, report.BatchSpeedup[key])
-		}
-	}
-	if report.QuantThroughput["int8"] <= 0 {
-		t.Errorf("QuantThroughput[int8] = %.3f, want > 0", report.QuantThroughput["int8"])
-	}
-	if _, ok := report.QuantThroughput["f64"]; ok {
-		t.Error("QuantThroughput must not contain the f64 baseline itself")
+	if report.BatchSpeedup <= 0 {
+		t.Errorf("BatchSpeedup = %.3f, want > 0", report.BatchSpeedup)
 	}
 }
 
-// TestEvalCorpusLSTMInt8AUCAnchor pins the accuracy cost of int8
-// serving: on the corpus eval split the int8 detector's AUC must sit
-// within 0.01 of the f64 detector it was quantized from.
-func TestEvalCorpusLSTMInt8AUCAnchor(t *testing.T) {
+// TestEvalCorpusLSTMAUCAnchor pins the detection quality of the lstm
+// backend on the corpus eval split.
+func TestEvalCorpusLSTMAUCAnchor(t *testing.T) {
 	tr, err := CorpusTraffic(2)
 	if err != nil {
 		t.Fatal(err)
@@ -64,23 +52,11 @@ func TestEvalCorpusLSTMInt8AUCAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f64Report, err := EvalDetector(det, tr, opt)
+	report, err := EvalDetector(det, tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f64Report.AUC <= 0.6 {
-		t.Errorf("f64 lstm AUC %.3f <= 0.6, anchor is ~0.64", f64Report.AUC)
-	}
-	qdet, err := det.Quantize(nn.QuantInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	int8Report, err := EvalDetector(qdet, tr, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(int8Report.AUC - f64Report.AUC); diff > 0.01 {
-		t.Errorf("int8 AUC %.4f drifts %.4f from f64 AUC %.4f, tolerance 0.01",
-			int8Report.AUC, diff, f64Report.AUC)
+	if report.AUC <= 0.6 {
+		t.Errorf("lstm AUC %.3f <= 0.6, anchor is ~0.64", report.AUC)
 	}
 }

@@ -9,53 +9,40 @@ import (
 )
 
 // TestModelAdvanceBatchMatchesSerial pins the scorer.BatchStream
-// implementation to the serial stream path bit for bit, at full and
-// quantized precision: the property the engine's deterministic-replay
-// anchors stand on.
+// implementation to the serial stream path bit for bit: the property the
+// engine's deterministic-replay anchors stand on.
 func TestModelAdvanceBatchMatchesSerial(t *testing.T) {
 	const vocab, hidden, streams = 23, 11, 8
 	net, err := nn.NewLanguageNetwork(nn.NetworkConfig{InputSize: vocab, HiddenSize: hidden, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []nn.Quantization{nn.QuantNone, nn.QuantF16, nn.QuantInt8} {
-		t.Run(mode.String(), func(t *testing.T) {
-			m := New(net)
-			if mode != nn.QuantNone {
-				if m, err = m.Quantize(mode); err != nil {
-					t.Fatal(err)
-				}
-				if m.Quantization() != mode {
-					t.Fatalf("Quantization() = %s, want %s", m.Quantization(), mode)
-				}
+	m := New(net)
+	batched := make([]scorer.Stream, streams)
+	serial := make([]scorer.Stream, streams)
+	for i := range batched {
+		batched[i] = m.NewStream()
+		serial[i] = m.NewStream()
+	}
+	rng := rand.New(rand.NewSource(31))
+	actions := make([]int, streams)
+	liks := make([]float64, streams)
+	for tick := 0; tick < 12; tick++ {
+		for i := range actions {
+			actions[i] = rng.Intn(vocab)
+		}
+		if err := scorer.AdvanceBatch(m, batched, actions, liks); err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range serial {
+			want, err := scorer.ObserveLikelihood(st, actions[i])
+			if err != nil {
+				t.Fatal(err)
 			}
-			batched := make([]scorer.Stream, streams)
-			serial := make([]scorer.Stream, streams)
-			for i := range batched {
-				batched[i] = m.NewStream()
-				serial[i] = m.NewStream()
+			if liks[i] != want {
+				t.Fatalf("tick %d stream %d: batched likelihood %v, serial %v",
+					tick, i, liks[i], want)
 			}
-			rng := rand.New(rand.NewSource(31))
-			actions := make([]int, streams)
-			liks := make([]float64, streams)
-			for tick := 0; tick < 12; tick++ {
-				for i := range actions {
-					actions[i] = rng.Intn(vocab)
-				}
-				if err := scorer.AdvanceBatch(m, batched, actions, liks); err != nil {
-					t.Fatal(err)
-				}
-				for i, st := range serial {
-					want, err := scorer.ObserveLikelihood(st, actions[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if liks[i] != want {
-						t.Fatalf("tick %d stream %d: batched likelihood %v, serial %v",
-							tick, i, liks[i], want)
-					}
-				}
-			}
-		})
+		}
 	}
 }

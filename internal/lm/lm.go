@@ -311,21 +311,6 @@ func (m *Model) AdvanceBatch(streams []scorer.Stream, actions []int, liks []floa
 	return nil
 }
 
-// Quantize returns an inference-only copy of the model with its weights
-// stored at the given precision (nn.QuantF16 or nn.QuantInt8); see
-// nn.LanguageNetwork.Quantize for the precision contract. The receiver
-// is untouched and keeps serving at full precision.
-func (m *Model) Quantize(mode nn.Quantization) (*Model, error) {
-	net, err := m.net.Quantize(mode)
-	if err != nil {
-		return nil, fmt.Errorf("lm: %w", err)
-	}
-	return &Model{net: net}, nil
-}
-
-// Quantization returns the weight precision this model serves at.
-func (m *Model) Quantization() nn.Quantization { return m.net.Quantization() }
-
 // Stream returns an incremental per-action scorer for the online regime.
 func (m *Model) Stream() *nn.StreamState { return m.net.NewStream() }
 

@@ -71,11 +71,7 @@ func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 		copy(s.h.Row(i), st.H)
 	}
 	s.z = tensor.GrowMatrix(s.z, n, 4*hs)
-	if l.WhQ != nil {
-		tensor.MatMulNTQ(s.z, s.h, l.WhQ)
-	} else {
-		tensor.MatMulNT(s.z, s.h, l.Wh.W)
-	}
+	tensor.MatMulNT(s.z, s.h, l.Wh.W)
 	bias := l.B.W.Data
 	for i, st := range states {
 		z := s.z.Row(i)
@@ -85,10 +81,6 @@ func (l *LSTM) StepBatch(states []*State, xs []int, s *BatchScratch) {
 		case x < 0:
 			for r, d := range z {
 				z[r] = bias[r] + d
-			}
-		case l.WxQ != nil:
-			for r, d := range z {
-				z[r] = (bias[r] + l.WxQ.At(r, x)) + d
 			}
 		default:
 			for r, d := range z {
@@ -143,11 +135,7 @@ func (n *LanguageNetwork) ObserveBatch(streams []*StreamState, actions []int, li
 	}
 	n.lstm.StepBatch(s.states, actions, s)
 	s.logits = tensor.GrowMatrix(s.logits, len(streams), n.cfg.InputSize)
-	if n.dense.WQ != nil {
-		tensor.MatMulNTQ(s.logits, s.h, n.dense.WQ)
-	} else {
-		tensor.MatMulNT(s.logits, s.h, n.dense.W.W)
-	}
+	tensor.MatMulNT(s.logits, s.h, n.dense.W.W)
 	tensor.AddBiasRows(s.logits, tensor.Vector(n.dense.B.W.Data))
 	for i, st := range streams {
 		var probs tensor.Vector

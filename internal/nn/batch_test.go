@@ -1,73 +1,48 @@
 package nn
 
 import (
-	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// quantNet builds a trained-ish network (random init is enough: the
-// equivalence contracts are about kernels, not accuracy).
-func quantNet(t *testing.T, vocab, hidden int, quant Quantization) *LanguageNetwork {
-	t.Helper()
-	net, err := NewLanguageNetwork(NetworkConfig{InputSize: vocab, HiddenSize: hidden, DropoutRate: 0, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quant == QuantNone {
-		return net
-	}
-	q, err := net.Quantize(quant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
 // TestStepBatchMatchesStepReuse pins the batched LSTM step to the
-// serial scratch step bit for bit, across every quantization mode and
-// across batch sizes that exercise the GEMM kernel's unroll and block
-// tails. This equality is the foundation of the engine's byte-identical
+// serial scratch step bit for bit, across batch sizes that exercise the
+// GEMM kernel's unroll and block tails. This equality is the foundation of the engine's byte-identical
 // deterministic replay with micro-batching enabled.
 func TestStepBatchMatchesStepReuse(t *testing.T) {
-	for _, quant := range []Quantization{QuantNone, QuantF16, QuantInt8} {
-		t.Run(quant.String(), func(t *testing.T) {
-			const vocab, hidden = 37, 19
-			net := quantNet(t, vocab, hidden, quant)
-			rng := rand.New(rand.NewSource(9))
-			for _, batch := range []int{1, 2, 3, 4, 5, 7, 33, 64} {
-				serial := make([]*State, batch)
-				batched := make([]*State, batch)
-				for i := range serial {
-					serial[i] = net.lstm.NewState()
-					batched[i] = net.lstm.NewState()
-				}
-				scratch := net.lstm.NewStepScratch()
-				bscratch := NewBatchScratch()
-				xs := make([]int, batch)
-				for step := 0; step < 11; step++ {
-					for i := range xs {
-						xs[i] = rng.Intn(vocab+1) - 1 // includes padding inputs
+	const vocab, hidden = 37, 19
+	net := testNet(t, vocab, hidden, 0, 42)
+	rng := rand.New(rand.NewSource(9))
+	for _, batch := range []int{1, 2, 3, 4, 5, 7, 33, 64} {
+		serial := make([]*State, batch)
+		batched := make([]*State, batch)
+		for i := range serial {
+			serial[i] = net.lstm.NewState()
+			batched[i] = net.lstm.NewState()
+		}
+		scratch := net.lstm.NewStepScratch()
+		bscratch := NewBatchScratch()
+		xs := make([]int, batch)
+		for step := 0; step < 11; step++ {
+			for i := range xs {
+				xs[i] = rng.Intn(vocab+1) - 1 // includes padding inputs
+			}
+			net.lstm.StepBatch(batched, xs, bscratch)
+			view := bscratch.Batched(batched)
+			for i, st := range serial {
+				net.lstm.StepReuse(st, xs[i], scratch)
+				for k := 0; k < hidden; k++ {
+					if st.H[k] != batched[i].H[k] || st.C[k] != batched[i].C[k] {
+						t.Fatalf("batch %d step %d stream %d unit %d: serial (h=%v c=%v) batched (h=%v c=%v)",
+							batch, step, i, k, st.H[k], st.C[k], batched[i].H[k], batched[i].C[k])
 					}
-					net.lstm.StepBatch(batched, xs, bscratch)
-					view := bscratch.Batched(batched)
-					for i, st := range serial {
-						net.lstm.StepReuse(st, xs[i], scratch)
-						for k := 0; k < hidden; k++ {
-							if st.H[k] != batched[i].H[k] || st.C[k] != batched[i].C[k] {
-								t.Fatalf("batch %d step %d stream %d unit %d: serial (h=%v c=%v) batched (h=%v c=%v)",
-									batch, step, i, k, st.H[k], st.C[k], batched[i].H[k], batched[i].C[k])
-							}
-							if view.H.At(i, k) != st.H[k] {
-								t.Fatalf("packed hidden view row %d unit %d: %v want %v",
-									i, k, view.H.At(i, k), st.H[k])
-							}
-						}
+					if view.H.At(i, k) != st.H[k] {
+						t.Fatalf("packed hidden view row %d unit %d: %v want %v",
+							i, k, view.H.At(i, k), st.H[k])
 					}
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -76,59 +51,55 @@ func TestStepBatchMatchesStepReuse(t *testing.T) {
 // Observe bit for bit, with streams moving between serial and batched
 // observation across steps the way engine ticks mix them.
 func TestObserveBatchMatchesObserve(t *testing.T) {
-	for _, quant := range []Quantization{QuantNone, QuantF16, QuantInt8} {
-		t.Run(quant.String(), func(t *testing.T) {
-			const vocab, hidden, batch = 29, 13, 6
-			net := quantNet(t, vocab, hidden, quant)
-			rng := rand.New(rand.NewSource(17))
-			serial := make([]*StreamState, batch)
-			batched := make([]*StreamState, batch)
-			for i := range serial {
-				serial[i] = net.NewStreamPrealloc()
-				batched[i] = net.NewStreamPrealloc()
-			}
-			scratch := NewBatchScratch()
-			actions := make([]int, batch)
-			liks := make([]float64, batch)
-			for step := 0; step < 9; step++ {
-				for i := range actions {
-					actions[i] = rng.Intn(vocab)
-				}
-				if step%3 == 2 {
-					// Mixed tick: advance serially, like a batch-1 wave.
-					for i, st := range batched {
-						lik, _, err := st.Observe(actions[i])
-						if err != nil {
-							t.Fatal(err)
-						}
-						liks[i] = lik
-					}
-				} else if err := net.ObserveBatch(batched, actions, liks, scratch); err != nil {
+	const vocab, hidden, batch = 29, 13, 6
+	net := testNet(t, vocab, hidden, 0, 42)
+	rng := rand.New(rand.NewSource(17))
+	serial := make([]*StreamState, batch)
+	batched := make([]*StreamState, batch)
+	for i := range serial {
+		serial[i] = net.NewStreamPrealloc()
+		batched[i] = net.NewStreamPrealloc()
+	}
+	scratch := NewBatchScratch()
+	actions := make([]int, batch)
+	liks := make([]float64, batch)
+	for step := 0; step < 9; step++ {
+		for i := range actions {
+			actions[i] = rng.Intn(vocab)
+		}
+		if step%3 == 2 {
+			// Mixed tick: advance serially, like a batch-1 wave.
+			for i, st := range batched {
+				lik, _, err := st.Observe(actions[i])
+				if err != nil {
 					t.Fatal(err)
 				}
-				for i, st := range serial {
-					wantLik, wantProbs, err := st.Observe(actions[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if liks[i] != wantLik {
-						t.Fatalf("step %d stream %d: likelihood %v, serial %v", step, i, liks[i], wantLik)
-					}
-					for a := 0; a < vocab; a++ {
-						if batched[i].nextProbs[a] != wantProbs[a] {
-							t.Fatalf("step %d stream %d action %d: prob %v, serial %v",
-								step, i, a, batched[i].nextProbs[a], wantProbs[a])
-						}
-					}
+				liks[i] = lik
+			}
+		} else if err := net.ObserveBatch(batched, actions, liks, scratch); err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range serial {
+			wantLik, wantProbs, err := st.Observe(actions[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if liks[i] != wantLik {
+				t.Fatalf("step %d stream %d: likelihood %v, serial %v", step, i, liks[i], wantLik)
+			}
+			for a := 0; a < vocab; a++ {
+				if batched[i].nextProbs[a] != wantProbs[a] {
+					t.Fatalf("step %d stream %d action %d: prob %v, serial %v",
+						step, i, a, batched[i].nextProbs[a], wantProbs[a])
 				}
 			}
-		})
+		}
 	}
 }
 
 func TestObserveBatchRejectsForeignStream(t *testing.T) {
-	a := quantNet(t, 11, 5, QuantNone)
-	b := quantNet(t, 11, 5, QuantNone)
+	a := testNet(t, 11, 5, 0, 42)
+	b := testNet(t, 11, 5, 0, 42)
 	streams := []*StreamState{a.NewStreamPrealloc(), b.NewStreamPrealloc()}
 	err := a.ObserveBatch(streams, []int{1, 2}, make([]float64, 2), NewBatchScratch())
 	if err == nil {
@@ -137,7 +108,7 @@ func TestObserveBatchRejectsForeignStream(t *testing.T) {
 }
 
 func TestObserveBatchSteadyStateAllocs(t *testing.T) {
-	net := quantNet(t, 41, 23, QuantNone)
+	net := testNet(t, 41, 23, 0, 42)
 	const batch = 16
 	streams := make([]*StreamState, batch)
 	for i := range streams {
@@ -162,95 +133,5 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ObserveBatch allocated %.1f times per tick in steady state, want 0", allocs)
-	}
-}
-
-// TestQuantizedScoreDivergence documents the quantization tolerance:
-// per-step likelihoods of the f16 and int8 variants must stay within
-// the documented envelope of the f64 network over random sessions.
-// These bounds (f16: 1e-3, int8: 5e-2 absolute probability divergence)
-// are the contract the corpus-AUC anchor in internal/harness leans on.
-func TestQuantizedScoreDivergence(t *testing.T) {
-	const vocab, hidden = 53, 31
-	f64net := quantNet(t, vocab, hidden, QuantNone)
-	bounds := map[Quantization]float64{QuantF16: 1e-3, QuantInt8: 5e-2}
-	rng := rand.New(rand.NewSource(23))
-	for quant, bound := range bounds {
-		qnet := quantNet(t, vocab, hidden, quant)
-		var maxDiv float64
-		for session := 0; session < 20; session++ {
-			a := f64net.NewStreamPrealloc()
-			b := qnet.NewStreamPrealloc()
-			for step := 0; step < 25; step++ {
-				action := rng.Intn(vocab)
-				la, _, err := a.Observe(action)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lb, _, err := b.Observe(action)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := math.Abs(la - lb); d > maxDiv {
-					maxDiv = d
-				}
-			}
-		}
-		if maxDiv > bound {
-			t.Errorf("%s: max per-step likelihood divergence %v exceeds documented bound %v",
-				quant, maxDiv, bound)
-		}
-		t.Logf("%s: max per-step likelihood divergence %v (bound %v)", quant, maxDiv, bound)
-	}
-}
-
-// TestQuantizedSaveLoadRoundTrip pins the serialization envelope
-// extension: a quantized network survives Save/Load with its serving
-// weights reproduced exactly, so the reloaded model scores
-// bit-identically to the one that was saved.
-func TestQuantizedSaveLoadRoundTrip(t *testing.T) {
-	const vocab, hidden = 31, 17
-	for _, quant := range []Quantization{QuantNone, QuantF16, QuantInt8} {
-		t.Run(quant.String(), func(t *testing.T) {
-			net := quantNet(t, vocab, hidden, quant)
-			var buf bytes.Buffer
-			if err := net.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadLanguageNetwork(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loaded.Quantization() != quant {
-				t.Fatalf("loaded quantization %s, want %s", loaded.Quantization(), quant)
-			}
-			seq := randomSeq(40, vocab, 3)
-			a, b := net.NewStreamPrealloc(), loaded.NewStreamPrealloc()
-			for _, action := range seq {
-				la, _, err := a.Observe(action)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lb, _, err := b.Observe(action)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if la != lb {
-					t.Fatalf("reloaded %s network diverged: %v vs %v", quant, la, lb)
-				}
-			}
-			if quant != QuantNone {
-				if _, _, err := loaded.TrainSequence(seq[:5]); err == nil {
-					t.Fatal("quantized network accepted training")
-				}
-			}
-		})
-	}
-}
-
-func TestQuantizeRejectsDoubleQuantization(t *testing.T) {
-	net := quantNet(t, 11, 5, QuantInt8)
-	if _, err := net.Quantize(QuantF16); err == nil {
-		t.Fatal("Quantize accepted an already-quantized network")
 	}
 }

@@ -15,10 +15,6 @@ type Dense struct {
 	OutputSize int
 	W          *Param // OutputSize x InputSize
 	B          *Param // 1 x OutputSize
-	// WQ, when non-nil, is the int8 form of W: the layer is
-	// inference-only and the forward kernels read the int8 payload. See
-	// LanguageNetwork.Quantize.
-	WQ *tensor.QuantizedMatrix
 }
 
 // NewDense allocates and Xavier-initializes a dense layer.
@@ -47,14 +43,9 @@ func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
 }
 
 // ForwardInto computes logits = W x + b into dst (len OutputSize) without
-// allocating, the scratch-buffer variant of Forward. Quantized layers
-// read the int8 weights directly.
+// allocating, the scratch-buffer variant of Forward.
 func (d *Dense) ForwardInto(dst, x tensor.Vector) {
 	copy(dst, d.B.W.Data)
-	if d.WQ != nil {
-		d.WQ.MulVecAdd(dst, x)
-		return
-	}
 	d.W.W.MulVecAdd(dst, x)
 }
 

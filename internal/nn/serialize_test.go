@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 )
 
@@ -60,6 +61,38 @@ func TestNetworkSaveLoadRoundTrip(t *testing.T) {
 			if a[i][j] != b[i][j] {
 				t.Fatalf("step %d output %d changed across save/load", i, j)
 			}
+		}
+	}
+}
+
+// TestLoadLanguageNetworkRejectsLegacyQuantTag: model files written with
+// int8 or f16 weights carry a precision tag; loading one must fail with
+// a clear error even when every parameter is well shaped, while an
+// explicit "f64" tag still loads.
+func TestLoadLanguageNetworkRejectsLegacyQuantTag(t *testing.T) {
+	n, err := NewLanguageNetwork(NetworkConfig{InputSize: 5, HiddenSize: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var params []serializedParam
+	for _, p := range n.Params() {
+		params = append(params, serializedParam{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols, Data: p.W.Data})
+	}
+	for _, tag := range []string{"int8", "f16", "f64"} {
+		var buf bytes.Buffer
+		s := serializedNetwork{Config: n.cfg, Params: params, Quant: tag}
+		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadLanguageNetwork(&buf)
+		if tag == "f64" {
+			if err != nil {
+				t.Fatalf("f64-tagged file rejected: %v", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tag) {
+			t.Fatalf("%s-tagged file: got error %v, want a rejection naming the tag", tag, err)
 		}
 	}
 }

@@ -347,11 +347,20 @@ func (a *Adapter) OnSessionEnd(sum core.SessionSummary) {
 		a.cooldown--
 	}
 	fire := a.pending && a.cfg.AutoCycle && a.cooldown == 0 && len(a.buf) >= a.cfg.MinSessions
-	a.mu.Unlock()
+	// The automatic cycle trains on exactly the buffer that armed it:
+	// snapshotting here, under the lock, keeps sessions that end while
+	// the cycle goroutine starts up out of its input.
+	var candidates []candidate
 	if fire && a.cycling.CompareAndSwap(false, true) {
+		candidates = a.snapshotCandidatesLocked()
+	} else {
+		fire = false
+	}
+	a.mu.Unlock()
+	if fire {
 		go func() {
 			defer a.cycling.Store(false)
-			if _, err := a.cycle("drift-signal"); err != nil {
+			if _, err := a.cycle("drift-signal", candidates); err != nil {
 				a.logf("adaptation cycle failed: %v", err)
 				// Back off: wait for fresh traffic before retrying, so a
 				// persistent failure cannot spin a retrain per session.
@@ -367,6 +376,11 @@ func (a *Adapter) OnSessionEnd(sum core.SessionSummary) {
 func (a *Adapter) snapshotCandidates() []candidate {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.snapshotCandidatesLocked()
+}
+
+// snapshotCandidatesLocked is snapshotCandidates for a caller holding mu.
+func (a *Adapter) snapshotCandidatesLocked() []candidate {
 	out := make([]candidate, 0, len(a.buf))
 	out = append(out, a.buf[a.head:]...)
 	return append(out, a.buf[:a.head]...)
@@ -380,12 +394,12 @@ func (a *Adapter) Cycle(reason string) (*CycleReport, error) {
 		return nil, fmt.Errorf("pipeline: a cycle is already running")
 	}
 	defer a.cycling.Store(false)
-	return a.cycle(reason)
+	return a.cycle(reason, a.snapshotCandidates())
 }
 
-// cycle is the retrain → guardrail → calibrate → swap sequence. The
-// caller holds the cycling flag.
-func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
+// cycle is the retrain → guardrail → calibrate → swap sequence over a
+// snapshot of the candidate buffer. The caller holds the cycling flag.
+func (a *Adapter) cycle(reason string, candidates []candidate) (rep *CycleReport, err error) {
 	start := time.Now()
 	a.cycles.Add(1)
 	defer func() {
@@ -402,7 +416,6 @@ func (a *Adapter) cycle(reason string) (rep *CycleReport, err error) {
 	if a.cfg.Canary != nil && a.cfg.Canary.Active() {
 		return nil, fmt.Errorf("pipeline: a canary rollout is still pending; promote or roll it back before the next cycle")
 	}
-	candidates := a.snapshotCandidates()
 	if len(candidates) < a.cfg.MinSessions {
 		return nil, fmt.Errorf("pipeline: %d candidate sessions buffered, need %d", len(candidates), a.cfg.MinSessions)
 	}

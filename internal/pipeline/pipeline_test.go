@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sumMu sync.Mutex
-	var sums []core.SessionSummary
+	var ended, sums []core.SessionSummary
 	engine, err := core.NewEngineRegistry(reg, core.EngineConfig{
 		Shards:         3,
 		Monitor:        calibrated,
@@ -117,20 +118,38 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		RecordSessions: true,
 		OnSessionEnd: func(s core.SessionSummary) {
 			sumMu.Lock()
-			sums = append(sums, s)
+			ended = append(ended, s)
 			sumMu.Unlock()
-			adapter.OnSessionEnd(s)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer engine.Close()
+	// flush ends every live session and hands the summaries to the
+	// adapter in session-ID order. The engine calls the hook from
+	// whichever shard owned the session, in scheduling order; the drift
+	// detectors are sequential statistics, so the test pins their input
+	// order to keep its thresholds reproducible run to run.
+	flush := func() {
+		engine.Flush()
+		sumMu.Lock()
+		batch := ended
+		ended = nil
+		sumMu.Unlock()
+		sort.Slice(batch, func(i, j int) bool { return batch[i].SessionID < batch[j].SessionID })
+		for _, s := range batch {
+			sumMu.Lock()
+			sums = append(sums, s)
+			sumMu.Unlock()
+			adapter.OnSessionEnd(s)
+		}
+	}
 
 	// Phase A: stationary traffic from the training distribution. The
 	// drift bank freezes its reference windows; nothing may fire.
 	replaySessions(t, engine, freshNormals(t, 21, "a"))
-	engine.Flush()
+	flush()
 	if st := adapter.Status(); st.Drift.Drifted || st.PendingSignal {
 		t.Fatalf("drift reported on stationary traffic: %+v", st.Drift.Signals)
 	}
@@ -164,7 +183,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 			}
 			replaySessions(t, engine, drifted[next:end])
 			next = end
-			engine.Flush()
+			flush()
 		} else {
 			time.Sleep(20 * time.Millisecond)
 		}
@@ -222,7 +241,7 @@ func TestAdaptationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	replaySessions(t, engine, waveC[:60])
-	engine.Flush()
+	flush()
 
 	stats := engine.Stats()
 	if stats.EventsProcessed != stats.EventsSubmitted || stats.EventsInFlight != 0 {

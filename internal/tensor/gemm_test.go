@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -50,34 +49,6 @@ func TestMatMulMatchesMatVecRows(t *testing.T) {
 	}
 }
 
-// TestMatMulNTQMatchesQuantizedMatVec pins the int8 GEMM against the
-// serial int8 matvec bit for bit, same contract as the f64 kernels.
-func TestMatMulNTQMatchesQuantizedMatVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		m := 1 + rng.Intn(70)
-		n := 1 + rng.Intn(70)
-		k := 1 + rng.Intn(90)
-		a := randomMatrix(rng, m, k)
-		q := Quantize(randomMatrix(rng, n, k))
-
-		dst := GrowMatrix(nil, m, n)
-		MatMulNTQ(dst, a, q)
-
-		want := NewVector(n)
-		for i := 0; i < m; i++ {
-			want.Zero()
-			q.MulVecAdd(want, a.Row(i))
-			for j, w := range want {
-				if got := dst.At(i, j); got != w {
-					t.Fatalf("trial %d (m=%d n=%d k=%d): dst[%d][%d] = %v, serial quantized matvec %v",
-						trial, m, n, k, i, j, got, w)
-				}
-			}
-		}
-	}
-}
-
 func TestGrowMatrixReusesStorage(t *testing.T) {
 	m := GrowMatrix(nil, 8, 8)
 	if m.Rows != 8 || m.Cols != 8 || len(m.Data) != 64 {
@@ -108,82 +79,5 @@ func TestMatMulNTZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MatMulNT steady state allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-func TestF16BitsTable(t *testing.T) {
-	cases := []struct {
-		in   float64
-		bits uint16
-	}{
-		{0, 0x0000},
-		{math.Copysign(0, -1), 0x8000},
-		{1, 0x3c00},
-		{-2, 0xc000},
-		{0.5, 0x3800},
-		{65504, 0x7bff},             // max finite half
-		{65519, 0x7bff},             // rounds down to max finite
-		{65520, 0x7bff},             // would overflow: saturates
-		{1e300, 0x7bff},             // far overflow: saturates
-		{math.Inf(1), 0x7bff},       // infinity saturates too
-		{math.Inf(-1), 0xfbff},      //
-		{0x1p-14, 0x0400},           // smallest normal
-		{0x1p-24, 0x0001},           // smallest subnormal
-		{0x1p-25, 0x0000},           // halfway to zero: ties to even
-		{0x1p-25 + 0x1p-27, 0x0001}, // just above halfway
-		{0x1p-26, 0x0000},
-		{1 + 0x1p-11, 0x3c00}, // halfway between 1 and 1+2^-10: ties to even
-		{1 + 0x1p-10, 0x3c01},
-	}
-	for _, c := range cases {
-		if got := F16Bits(c.in); got != c.bits {
-			t.Errorf("F16Bits(%g) = %#04x, want %#04x", c.in, got, c.bits)
-		}
-	}
-	if got := F16Bits(math.NaN()); got&0x7c00 != 0x7c00 || got&0x3ff == 0 {
-		t.Errorf("F16Bits(NaN) = %#04x, not a half NaN", got)
-	}
-	if !math.IsNaN(F16FromBits(0x7e00)) {
-		t.Error("F16FromBits(0x7e00) is not NaN")
-	}
-	if v := F16FromBits(0x7c00); !math.IsInf(v, 1) {
-		t.Errorf("F16FromBits(0x7c00) = %v, want +Inf", v)
-	}
-}
-
-func TestRoundF16Bounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 20000; i++ {
-		x := math.Ldexp(rng.Float64()*2-1, rng.Intn(36)-18)
-		checkF16RoundTrip(t, x)
-	}
-}
-
-// checkF16RoundTrip asserts the documented f16 storage bounds for one
-// value: relative error <= 2^-11 in the normal half range, absolute
-// error <= 2^-25 below it, saturation to ±65504 above it.
-func checkF16RoundTrip(t *testing.T, x float64) {
-	t.Helper()
-	got := RoundF16(x)
-	abs := math.Abs(x)
-	switch {
-	case math.IsNaN(x):
-		if !math.IsNaN(got) {
-			t.Fatalf("RoundF16(NaN) = %v", got)
-		}
-	case abs > 65504:
-		if got != math.Copysign(65504, x) {
-			t.Fatalf("RoundF16(%g) = %v, want saturation to %v", x, got, math.Copysign(65504, x))
-		}
-	case abs >= 0x1p-14:
-		// Double rounding through float32 adds at most a sliver beyond
-		// the ideal 2^-11 half-ulp bound.
-		if rel := math.Abs(got-x) / abs; rel > 0x1.001p-11 {
-			t.Fatalf("RoundF16(%g) = %v, relative error %g > 2^-11", x, got, rel)
-		}
-	default:
-		if diff := math.Abs(got - x); diff > 0x1p-25 {
-			t.Fatalf("RoundF16(%g) = %v, absolute error %g > 2^-25", x, got, diff)
-		}
 	}
 }
