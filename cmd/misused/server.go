@@ -446,7 +446,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 			continue
 		}
 		if err := s.engine.SubmitTokens(ctx, evs, alarms); err != nil {
-			s.logf("session %s: %v", evs[0].Ev.SessionID, err)
+			s.logf("session %q: %v", evs[0].Ev.SessionID, err)
 			continue
 		}
 	}

@@ -8,12 +8,13 @@ import (
 )
 
 // Memory accounting and idle-state compaction for the classical
-// backends. Both streams carry one large derived buffer — the
-// vocab-sized predictive distribution (plus the HMM's prediction
-// scratch) — that a dormant session does not need: the n-gram stream is
-// fully described by its trailing context window and action count, the
-// HMM stream by its filtering distribution. Rehydration reallocates the
-// scratch; the recurrence state transfers, so scores continue
+// backends. Both streams carry derived buffers — the vocab-sized
+// predictive distribution, allocated only once Observe needs it, and the
+// HMM's prediction scratch — that a dormant session does not need: the
+// n-gram stream is fully described by its trailing context window and
+// action count, the HMM stream by its filtering distribution.
+// Rehydration reallocates the HMM scratch (the distribution again waits
+// for an Observe); the recurrence state transfers, so scores continue
 // byte-identically.
 var (
 	_ scorer.StreamCompactor = (*NGram)(nil)
@@ -69,7 +70,6 @@ func (m *NGram) RehydrateStream(snap scorer.StreamSnapshot) (scorer.Stream, erro
 	return &ngramStream{
 		m:    m,
 		ctx:  ctx,
-		dist: tensor.NewVector(m.vocab),
 		seen: ss.seen,
 	}, nil
 }
@@ -113,7 +113,6 @@ func (m *HMM) RehydrateStream(snap scorer.StreamSnapshot) (scorer.Stream, error)
 		m:       m,
 		alpha:   ss.alpha,
 		pred:    tensor.NewVector(m.states),
-		dist:    tensor.NewVector(m.vocab),
 		started: ss.started,
 	}, nil
 }

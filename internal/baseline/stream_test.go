@@ -243,3 +243,105 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("hmm garbage must fail")
 	}
 }
+
+// streamDist returns a classical stream's predictive-distribution buffer.
+func streamDist(t *testing.T, st scorer.Stream) []float64 {
+	t.Helper()
+	switch s := st.(type) {
+	case *ngramStream:
+		return s.dist
+	case *hmmStream:
+		return s.dist
+	}
+	t.Fatalf("foreign stream %T", st)
+	return nil
+}
+
+// TestLikelihoodStreamsNeverAllocateDist checks that the vocab-sized
+// predictive distribution exists only once Observe asks for it: a
+// likelihood-only stream, fresh or rehydrated from a snapshot, never
+// holds one (and its MemSize says so), while Observe after rehydration
+// still returns exactly what an uncompacted stream returns — for the
+// n-gram, exactly Prob.
+func TestLikelihoodStreamsNeverAllocateDist(t *testing.T) {
+	// A vocabulary wide enough that a distribution would dominate
+	// MemSize; the sessions cycle through its first 16 actions.
+	const vocab = 64
+	sessions := cycleSessions(10, 16, vocab)
+	session := []int{0, 1, 2, 3, 4, 5, 0, 1, 2, 0, 5, 4}
+	ng, err := TrainNGram(sessions, vocab, DefaultNGramConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hm, err := TrainHMM(sessions, vocab, HMMConfig{States: 3, Iterations: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []interface {
+		scorer.Scorer
+		scorer.StreamCompactor
+	}{ng, hm} {
+		ref := m.NewStream()
+		st := m.NewStream()
+		if streamDist(t, st) != nil {
+			t.Fatalf("%s: fresh stream holds a distribution", m.Backend())
+		}
+		for i, a := range session {
+			if i == len(session)/2 {
+				snap, err := m.CompactStream(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st, err = m.RehydrateStream(snap); err != nil {
+					t.Fatal(err)
+				}
+				if streamDist(t, st) != nil {
+					t.Fatalf("%s: rehydrated stream holds a distribution", m.Backend())
+				}
+			}
+			want, wantDist, err := ref.Observe(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i < len(session)-1 {
+				got, err := scorer.ObserveLikelihood(st, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s position %d: likelihood %v, want %v", m.Backend(), i, got, want)
+				}
+				if streamDist(t, st) != nil {
+					t.Fatalf("%s position %d: likelihood-only stream allocated a distribution", m.Backend(), i)
+				}
+				if sz := st.(scorer.MemSizer).MemSize(); sz >= vocab*8 {
+					t.Fatalf("%s position %d: MemSize %d counts a distribution", m.Backend(), i, sz)
+				}
+				continue
+			}
+			// The last action goes through Observe on the rehydrated stream.
+			got, dist, err := st.Observe(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s: Observe after rehydration %v, want %v", m.Backend(), got, want)
+			}
+			for next := range dist {
+				if dist[next] != wantDist[next] {
+					t.Fatalf("%s: P(%d) after rehydration %v, want %v", m.Backend(), next, dist[next], wantDist[next])
+				}
+			}
+			if m == ng {
+				if p, err := ng.Prob(session[:i], a); err != nil || p != got {
+					t.Fatalf("ngram: Observe after rehydration %v, Prob %v (%v)", got, p, err)
+				}
+				for next := range dist {
+					if p, err := ng.Prob(session[:i+1], next); err != nil || math.Abs(p-dist[next]) > 1e-12 {
+						t.Fatalf("ngram: P(%d) after rehydration %v, Prob %v (%v)", next, dist[next], p, err)
+					}
+				}
+			}
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 // Idle-session compaction: once the routing vote has frozen (position >=
 // RouteVoteActions), a SessionMonitor's observable behavior depends only
 // on the selected cluster's stream plus a handful of scalars — the
-// featurizer, the vote tallies, the prefix buffer, and every other
+// vote state (already released), the prefix buffer, and every other
 // cluster's lazy stream slot are never touched again. SessionSnapshot
 // captures exactly that residue; Rehydrate rebuilds a monitor that
 // continues with byte-identical scores and alarms (the stream-level
@@ -23,19 +23,19 @@ const monitorStructOverhead = 256
 const snapshotStructOverhead = 128
 
 // MemSize estimates the resident heap bytes of this monitor's
-// session-local state — featurizer, per-cluster streams, vote and trend
-// buffers — excluding the shared detector. The engine sums this per
+// session-local state — vote state, per-cluster streams, prefix and
+// trend buffers — excluding the shared detector. The engine sums this per
 // shard and compares the total against EngineConfig.MemBudget.
 func (m *SessionMonitor) MemSize() int {
 	n := monitorStructOverhead
-	if m.features != nil {
-		n += m.features.MemSize()
+	if m.vote != nil {
+		n += m.vote.MemSize()
 	}
 	for _, st := range m.streams {
 		n += scorer.StreamMemSize(st)
 	}
 	n += cap(m.streams) * 16 // interface slots
-	n += (cap(m.advanced) + cap(m.prefix) + cap(m.votes) + cap(m.recent)) * 8
+	n += (cap(m.advanced) + cap(m.prefix) + cap(m.recent)) * 8
 	return n
 }
 
@@ -63,7 +63,7 @@ type SessionSnapshot struct {
 }
 
 // Compactable reports whether the monitor is eligible for compaction:
-// the routing vote must have frozen (otherwise the vote tallies and
+// the routing vote must have frozen (otherwise the vote state and
 // prefix buffer are still live state) and the routed cluster's backend
 // must implement the scorer.StreamCompactor seam.
 func (m *SessionMonitor) Compactable() bool {
@@ -116,7 +116,7 @@ func (m *SessionMonitor) Compact() (*SessionSnapshot, error) {
 // of the snapshot's buffers: the snapshot must not be reused. The
 // rebuilt monitor continues the session with byte-identical scores —
 // post-freeze the vote branch of StageToken never runs, so the absent
-// featurizer, vote tallies, and prefix buffer are unreachable state.
+// vote state and prefix buffer are unreachable state.
 func (s *SessionSnapshot) Rehydrate() (*SessionMonitor, error) {
 	compactor, ok := s.d.clusters[s.cluster].Model.(scorer.StreamCompactor)
 	if !ok {

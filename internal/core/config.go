@@ -26,7 +26,8 @@ type Config struct {
 	Expert expert.Options
 	// OCSVM configures the per-cluster one-class SVMs.
 	OCSVM ocsvm.Config
-	// FeatureMode selects the OC-SVM session featurization.
+	// FeatureMode selects the OC-SVM session featurization;
+	// ocsvm.FeatureCounts is the only mode.
 	FeatureMode ocsvm.FeatureMode
 	// Backend selects the per-cluster sequence-model family:
 	// lm.BackendLSTM (the paper's model, the default when empty),

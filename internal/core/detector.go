@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"misusedetect/internal/actionlog"
@@ -41,6 +40,30 @@ type Detector struct {
 	vocab      *actionlog.Vocabulary
 	featurizer *ocsvm.Featurizer
 	clusters   []ClusterModel
+	// vote is the incremental routing vote over the cluster routers,
+	// shared by every SessionMonitor and by RouteByVote.
+	vote *ocsvm.Vote
+}
+
+// newDetector assembles a detector from its fitted clusters and builds
+// the routing vote over their routers: the one construction path of
+// TrainDetector, RetrainDetector, RetrainDetectorEncoded and
+// LoadDetector. A router the vote cannot reproduce exactly (a feature
+// dimension other than the vocabulary's, non-count support vectors) is
+// refused here rather than misrouting sessions later.
+func newDetector(cfg Config, vocab *actionlog.Vocabulary, feat *ocsvm.Featurizer, clusters []ClusterModel) (*Detector, error) {
+	routers := make([]*ocsvm.Model, len(clusters))
+	for i := range clusters {
+		if got := clusters[i].Router.Dim(); got != vocab.Size() {
+			return nil, fmt.Errorf("core: cluster %d router has %d features, vocabulary has %d actions", i, got, vocab.Size())
+		}
+		routers[i] = clusters[i].Router
+	}
+	vote, err := ocsvm.NewVote(routers, cfg.RouteVoteActions)
+	if err != nil {
+		return nil, fmt.Errorf("core: build routing vote: %w", err)
+	}
+	return &Detector{cfg: cfg, vocab: vocab, featurizer: feat, clusters: clusters, vote: vote}, nil
 }
 
 // TrainDetector fits one OC-SVM and one sequence model (of the
@@ -60,15 +83,15 @@ func TrainDetector(cfg Config, vocab *actionlog.Vocabulary, clusterTrain [][]*ac
 	if err != nil {
 		return nil, fmt.Errorf("core: build featurizer: %w", err)
 	}
-	d := &Detector{cfg: cfg, vocab: vocab, featurizer: feat}
+	var clusters []ClusterModel
 	for ci, sessions := range clusterTrain {
 		cm, err := trainCluster(&cfg, vocab, feat, sessions, ci, progress)
 		if err != nil {
 			return nil, err
 		}
-		d.clusters = append(d.clusters, cm)
+		clusters = append(clusters, cm)
 	}
-	return d, nil
+	return newDetector(cfg, vocab, feat, clusters)
 }
 
 // trainCluster fits one cluster's OC-SVM router and sequence model: the
@@ -215,37 +238,13 @@ func (d *Detector) RouteByVote(encoded []int) (int, error) {
 	if len(encoded) == 0 {
 		return 0, fmt.Errorf("core: empty session")
 	}
-	stream := d.featurizer.Stream()
-	votes := make([]int, len(d.clusters))
-	limit := d.cfg.RouteVoteActions
-	if limit > len(encoded) {
-		limit = len(encoded)
-	}
-	for t := 0; t < limit; t++ {
-		x, err := stream.Observe(encoded[t])
-		if err != nil {
-			return 0, fmt.Errorf("core: vote featurize: %w", err)
-		}
-		support := stream.Support()
-		best, bestS := 0, math.Inf(-1)
-		for i := range d.clusters {
-			s, err := d.clusters[i].Router.ScoreSparse(x, support)
-			if err != nil {
-				return 0, fmt.Errorf("core: vote score cluster %d: %w", i, err)
-			}
-			if s > bestS {
-				best, bestS = i, s
-			}
-		}
-		votes[best]++
-	}
-	best, bestV := 0, -1
-	for i, v := range votes {
-		if v > bestV {
-			best, bestV = i, v
+	vote := d.vote.NewState()
+	for _, a := range encoded[:min(len(encoded), d.cfg.RouteVoteActions)] {
+		if err := vote.Observe(a); err != nil {
+			return 0, fmt.Errorf("core: vote: %w", err)
 		}
 	}
-	return best, nil
+	return vote.Leader(), nil
 }
 
 // SessionReport is the scored outcome for one session.

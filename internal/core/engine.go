@@ -47,7 +47,7 @@ type EngineConfig struct {
 	IdleExpiry time.Duration
 	// CompactAfter collapses sessions that have not seen an event for
 	// this long into compact snapshots (LSTM hidden/cell state plus the
-	// monitor scalars — no scratch, no featurizer, no lazy per-cluster
+	// monitor scalars — no scratch, no vote state, no lazy per-cluster
 	// streams), transparently rehydrated on their next event with
 	// byte-identical scores. 0 disables background compaction;
 	// Engine.Compact compacts on demand regardless. Only sessions past
@@ -1285,7 +1285,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 			// detector itself is unusable.
 			s.e.sessions.Add(-1)
 			s.e.scoreErrors.Add(1)
-			s.e.logf("session %s: %v", ev.sessionID, err)
+			s.e.logf("session %q: %v", ev.sessionID, err)
 			return
 		}
 		sess = &engineSession{
@@ -1313,7 +1313,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 			// accurate); the event is dropped as a score error.
 			s.e.scoreErrors.Add(1)
 			s.e.processed.Add(1)
-			s.e.logf("session %s: rehydrate: %v", ev.sessionID, err)
+			s.e.logf("session %q: rehydrate: %v", ev.sessionID, err)
 			return
 		}
 		sess.mon = mon
@@ -1363,7 +1363,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 			if ev.tok >= 0 {
 				name, _ = s.e.interner.Snapshot().Name(ev.tok)
 			}
-			s.e.logf("session %s: unknown action %q (token %d)", ev.sessionID, name, ev.tok)
+			s.e.logf("session %q: unknown action %q (token %d)", ev.sessionID, name, ev.tok)
 		}
 		if grew {
 			s.resize(sess)
@@ -1374,7 +1374,7 @@ func (s *engineShard) stageEvent(ev *tokEvent, sink chan<- Alarm, now time.Time)
 	if err != nil {
 		s.e.scoreErrors.Add(1)
 		s.e.processed.Add(1)
-		s.e.logf("session %s: %v", ev.sessionID, err)
+		s.e.logf("session %q: %v", ev.sessionID, err)
 		if grew {
 			s.resize(sess)
 		}
@@ -1442,7 +1442,7 @@ func (s *engineShard) flushWave() {
 				for _, wi := range grp.idxs[off:end] {
 					s.wave[wi].errd = true
 					s.e.scoreErrors.Add(1)
-					s.e.logf("session %s: %v", s.wave[wi].ev.sessionID, err)
+					s.e.logf("session %q: %v", s.wave[wi].ev.sessionID, err)
 				}
 				continue
 			}
@@ -1631,7 +1631,7 @@ func (s *engineShard) compactSession(sess *engineSession) {
 	}
 	snap, err := sess.mon.Compact()
 	if err != nil {
-		s.e.logf("session %s: compact: %v", sess.id, err)
+		s.e.logf("session %q: compact: %v", sess.id, err)
 		return
 	}
 	sess.mon = nil

@@ -192,10 +192,12 @@ type MonitorStep struct {
 // a string. Unknown-action handling lives with the caller — a token
 // outside the detector's vocabulary never reaches ObserveToken.
 type SessionMonitor struct {
-	d        *Detector
-	mcfg     MonitorConfig
-	features *ocsvm.PrefixStream
-	streams  []scorer.Stream
+	d    *Detector
+	mcfg MonitorConfig
+	// vote is the session's routing-vote state while the vote window
+	// is open, nil once the route has frozen.
+	vote    *ocsvm.VoteState
+	streams []scorer.Stream
 	// advanced[i] is how many actions streams[i] has observed; prefix
 	// buffers the vote-window actions so a stream is caught up lazily
 	// when its cluster first wins the vote. Only the selected cluster's
@@ -204,7 +206,6 @@ type SessionMonitor struct {
 	// stream's state depends only on the sequence it has observed.
 	advanced []int
 	prefix   []int
-	votes    []int
 	cluster  int
 	position int
 	smoothed float64
@@ -226,9 +227,9 @@ func (d *Detector) NewSessionMonitor(mcfg MonitorConfig) (*SessionMonitor, error
 		return nil, err
 	}
 	m := &SessionMonitor{
-		d:        d,
-		mcfg:     mcfg,
-		features: d.featurizer.Stream(),
+		d:    d,
+		mcfg: mcfg,
+		vote: d.vote.NewState(),
 		// streams entries stay nil until a cluster first wins the vote:
 		// most sessions only ever route to one or two clusters, and a
 		// stream (with its preallocated scoring scratch) is by far the
@@ -237,7 +238,6 @@ func (d *Detector) NewSessionMonitor(mcfg MonitorConfig) (*SessionMonitor, error
 		streams:  make([]scorer.Stream, len(d.clusters)),
 		advanced: make([]int, len(d.clusters)),
 		prefix:   make([]int, 0, d.cfg.RouteVoteActions),
-		votes:    make([]int, len(d.clusters)),
 		smoothed: -1,
 		warmMin:  -1,
 	}
@@ -277,33 +277,17 @@ func (m *SessionMonitor) ObserveToken(action int) (MonitorStep, error) {
 // unusable.
 func (m *SessionMonitor) StageToken(action int) (scorer.Scorer, scorer.Stream, error) {
 	// Update the routing vote during the first RouteVoteActions actions.
-	// The sparse score path exploits that an early prefix touches only a
-	// handful of vocabulary coordinates, so the per-action routing cost
-	// scales with the distinct actions seen, not the vocabulary size.
-	if m.position < m.d.cfg.RouteVoteActions {
-		x, err := m.features.Observe(action)
-		if err != nil {
+	// The incremental vote costs O(support vectors) per action whatever
+	// the vocabulary size. Its state exists only while the window is
+	// open: the last vote freezes the route and releases it.
+	if m.vote != nil {
+		if err := m.vote.Observe(action); err != nil {
 			return nil, nil, err
 		}
-		support := m.features.Support()
-		best, bestS := 0, math.Inf(-1)
-		for i := range m.d.clusters {
-			s, err := m.d.clusters[i].Router.ScoreSparse(x, support)
-			if err != nil {
-				return nil, nil, err
-			}
-			if s > bestS {
-				best, bestS = i, s
-			}
+		m.cluster = m.vote.Leader()
+		if m.position == m.d.cfg.RouteVoteActions-1 {
+			m.vote = nil
 		}
-		m.votes[best]++
-		bestC, bestV := 0, -1
-		for i, v := range m.votes {
-			if v > bestV {
-				bestC, bestV = i, v
-			}
-		}
-		m.cluster = bestC
 	}
 
 	// Advance only the selected cluster's stream, catching it up on the

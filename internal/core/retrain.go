@@ -95,7 +95,7 @@ func RetrainDetector(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clu
 	if minPerCluster < 1 {
 		minPerCluster = 1
 	}
-	d := &Detector{cfg: cfg, vocab: vocab, featurizer: feat}
+	var clusters []ClusterModel
 	for ci, sessions := range clusterTrain {
 		trainable := actionlog.FilterMinLength(sessions, cfg.MinSessionLength)
 		switch {
@@ -104,25 +104,29 @@ func RetrainDetector(old *Detector, cfg Config, vocab *actionlog.Vocabulary, clu
 			if err != nil {
 				return nil, stats, fmt.Errorf("core: retrain: %w", err)
 			}
-			d.clusters = append(d.clusters, cm)
+			clusters = append(clusters, cm)
 			stats.Retrained = append(stats.Retrained, ci)
 		case reusable:
 			// Keep the old generation's models for this cluster:
 			// ClusterModel is immutable after training, so sharing it
 			// across detectors is safe.
-			d.clusters = append(d.clusters, old.clusters[ci])
+			clusters = append(clusters, old.clusters[ci])
 			stats.Reused = append(stats.Reused, ci)
 		default:
 			cm, err := distillCluster(&cfg, old, vocab, feat, ci)
 			if err != nil {
 				return nil, stats, err
 			}
-			d.clusters = append(d.clusters, cm)
+			clusters = append(clusters, cm)
 			stats.Distilled = append(stats.Distilled, ci)
 		}
 	}
 	if len(stats.Retrained) == 0 {
 		return nil, stats, fmt.Errorf("core: retrain: no cluster reached %d trainable sessions", minPerCluster)
+	}
+	d, err := newDetector(cfg, vocab, feat, clusters)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: retrain: %w", err)
 	}
 	return d, stats, nil
 }
@@ -142,7 +146,7 @@ func RetrainDetectorEncoded(old *Detector, cfg Config, vocab *actionlog.Vocabula
 	if minPerCluster < 1 {
 		minPerCluster = 1
 	}
-	d := &Detector{cfg: cfg, vocab: vocab, featurizer: feat}
+	var clusters []ClusterModel
 	for ci, sessions := range clusterTrain {
 		var trainable []EncodedSession
 		for _, s := range sessions {
@@ -160,22 +164,26 @@ func RetrainDetectorEncoded(old *Detector, cfg Config, vocab *actionlog.Vocabula
 			if err != nil {
 				return nil, stats, fmt.Errorf("core: retrain: %w", err)
 			}
-			d.clusters = append(d.clusters, cm)
+			clusters = append(clusters, cm)
 			stats.Retrained = append(stats.Retrained, ci)
 		case reusable:
-			d.clusters = append(d.clusters, old.clusters[ci])
+			clusters = append(clusters, old.clusters[ci])
 			stats.Reused = append(stats.Reused, ci)
 		default:
 			cm, err := distillCluster(&cfg, old, vocab, feat, ci)
 			if err != nil {
 				return nil, stats, err
 			}
-			d.clusters = append(d.clusters, cm)
+			clusters = append(clusters, cm)
 			stats.Distilled = append(stats.Distilled, ci)
 		}
 	}
 	if len(stats.Retrained) == 0 {
 		return nil, stats, fmt.Errorf("core: retrain: no cluster reached %d trainable sessions", minPerCluster)
+	}
+	d, err := newDetector(cfg, vocab, feat, clusters)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: retrain: %w", err)
 	}
 	return d, stats, nil
 }

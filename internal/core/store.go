@@ -199,18 +199,18 @@ func LoadDetector(dir string) (*Detector, error) {
 	if man.RouteVoteActions >= 1 {
 		cfg.RouteVoteActions = man.RouteVoteActions
 	}
-	d := &Detector{cfg: cfg, vocab: vocab, featurizer: feat}
+	var clusters []ClusterModel
 	for i := range man.ClusterSizes {
 		cm, err := loadCluster(dir, i, &man, vocab.Size())
 		if err != nil {
 			return nil, err
 		}
-		d.clusters = append(d.clusters, cm)
+		clusters = append(clusters, cm)
 	}
-	if len(d.clusters) == 0 {
+	if len(clusters) == 0 {
 		return nil, fmt.Errorf("core: saved detector has no clusters")
 	}
-	return d, nil
+	return newDetector(cfg, vocab, feat, clusters)
 }
 
 func loadCluster(dir string, i int, man *storeManifest, vocabSize int) (ClusterModel, error) {

@@ -194,8 +194,10 @@ func TestFeaturizerValidation(t *testing.T) {
 	if _, err := NewFeaturizer(0, FeatureCounts); err == nil {
 		t.Fatal("zero vocab must fail")
 	}
-	if _, err := NewFeaturizer(5, FeatureMode(0)); err == nil {
-		t.Fatal("unknown mode must fail")
+	for _, mode := range []FeatureMode{0, FeatureCounts + 1} {
+		if _, err := NewFeaturizer(5, mode); err == nil {
+			t.Fatalf("unknown mode %d must fail", mode)
+		}
 	}
 }
 
@@ -219,24 +221,6 @@ func TestFeaturizerCounts(t *testing.T) {
 	}
 	if f.Dim() != 4 {
 		t.Fatalf("Dim = %d", f.Dim())
-	}
-}
-
-func TestFeaturizerFrequencies(t *testing.T) {
-	f, _ := NewFeaturizer(3, FeatureFrequencies)
-	x, err := f.Session([]int{0, 1, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range x {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("frequencies sum to %v", sum)
-	}
-	if math.Abs(x[1]-0.5) > 1e-12 {
-		t.Fatalf("freq[1] = %v, want 0.5", x[1])
 	}
 }
 
@@ -270,30 +254,11 @@ func TestPrefixStreamMatchesBatch(t *testing.T) {
 			}
 		}
 	}
+	if got := stream.Support(); len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 1 {
+		t.Fatalf("support = %v, want first-seen order [0 3 1]", got)
+	}
 	if _, err := stream.Observe(9); err == nil {
 		t.Fatal("bad action must fail")
-	}
-}
-
-func TestPrefixStreamFrequencies(t *testing.T) {
-	f, _ := NewFeaturizer(2, FeatureFrequencies)
-	stream := f.Stream()
-	x1, _ := stream.Observe(0)
-	if x1[0] != 1 {
-		t.Fatalf("first prefix = %v", x1)
-	}
-	x2, _ := stream.Observe(1)
-	if math.Abs(x2[0]-0.5) > 1e-12 || math.Abs(x2[1]-0.5) > 1e-12 {
-		t.Fatalf("second prefix = %v", x2)
-	}
-	// The returned vector is stream-owned scratch, reused between calls
-	// so the per-action path allocates nothing: successive observations
-	// alias one buffer, and callers must consume it before the next.
-	if &x1[0] != &x2[0] {
-		t.Fatal("frequency stream must reuse its output buffer")
-	}
-	if got := stream.Support(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("support = %v, want [0 1]", got)
 	}
 }
 
